@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -20,7 +20,7 @@ import (
 var testRegion = geo.NewRect(geo.Pt(0, 0), geo.Pt(100, 100))
 
 // buildTree derives a test tree the same way the server does.
-func buildTree(t *testing.T, seed uint64) *hst.Tree {
+func buildTree(t testing.TB, seed uint64) *hst.Tree {
 	t.Helper()
 	grid, err := geo.NewGrid(testRegion, 8, 8)
 	if err != nil {
@@ -43,6 +43,19 @@ func httpNodes(t *testing.T, n int) []NodeConn {
 		nodes[i] = DialNode(ts.URL)
 	}
 	return nodes
+}
+
+// seqOf adapts a materialized partition to NodeConn.Prepare's pull
+// iterator.
+func seqOf(inserts []engine.EpochInsert) func() (engine.EpochInsert, bool, error) {
+	i := 0
+	return func() (engine.EpochInsert, bool, error) {
+		if i >= len(inserts) {
+			return engine.EpochInsert{}, false, nil
+		}
+		i++
+		return inserts[i-1], true, nil
+	}
 }
 
 func localNodes(n int) []NodeConn {
@@ -146,7 +159,7 @@ func TestScatterGatherBatchOptimalIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			core, err := newFanCore(tc.nodes, tree, 0, pol, "batch-optimal:k=4", 1, false)
+			core, err := newFanCore(tc.nodes, tree, 0, pol, "batch-optimal:k=4", 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +181,7 @@ func TestGreedyFanoutIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core, err := newFanCore(localNodes(3), tree, 0, pol, "greedy", 1, false)
+	core, err := newFanCore(localNodes(3), tree, 0, pol, "greedy", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +221,7 @@ func TestDistributedSwapIdentity(t *testing.T) {
 	next := buildTree(t, 8)
 	pol, _ := engine.PolicyByName("greedy")
 	nodes := httpNodes(t, 3)
-	core, err := newFanCore(nodes, tree, 0, pol, "greedy", 1, false)
+	core, err := newFanCore(nodes, tree, 0, pol, "greedy", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +274,7 @@ type failPrepareNode struct {
 	prepares int
 }
 
-func (f *failPrepareNode) Prepare(int64, *hst.Tree, int, []engine.EpochInsert, string) error {
+func (f *failPrepareNode) Prepare(int64, *hst.Tree, int, func() (engine.EpochInsert, bool, error), string) error {
 	f.prepares++
 	return errors.New("rigged: prepare refused")
 }
@@ -275,7 +288,7 @@ func TestPrepareFailureAbortsClusterWide(t *testing.T) {
 	pol, _ := engine.PolicyByName("greedy")
 	bad := &failPrepareNode{NodeConn: LocalNode(NewNode())}
 	nodes := []NodeConn{LocalNode(NewNode()), bad, LocalNode(NewNode())}
-	core, err := newFanCore(nodes, tree, 0, pol, "greedy", 1, false)
+	core, err := newFanCore(nodes, tree, 0, pol, "greedy", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,9 +398,9 @@ func TestSubmitWithBackendDown(t *testing.T) {
 	}
 }
 
-// TestIdempotentReplay pins the /v2 idempotency contract: re-POSTing a
-// mutation with the same key returns byte-identical bytes and applies the
-// mutation once; error responses are never cached.
+// TestIdempotentReplay pins the /v2 idempotency contract on the ops
+// envelope: re-POSTing a keyed mutation returns byte-identical bytes and
+// applies the mutation once; error responses are never cached.
 func TestIdempotentReplay(t *testing.T) {
 	tree := buildTree(t, 7)
 	node := NewNode()
@@ -398,24 +411,24 @@ func TestIdempotentReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	post := func(path, body string) (int, string) {
+	code := tree.CodeOf(0)
+	insert := func(id int, epoch int64, idem string) []byte {
 		t.Helper()
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		body, err := json.Marshal(OpsRequest{Ops: []OpRequest{
+			{Kind: OpInsert, Idem: idem, Code: []byte(code), ID: id, Epoch: epoch},
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		raw, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(raw)
+		return body
 	}
-	code := tree.CodeOf(0)
-	body := `{"code":` + jsonBytes(code) + `,"id":5,"epoch":1,"idem":"k1"}`
-	_, first := post(PathNodeInsert, body)
-	_, second := post(PathNodeInsert, body)
-	if first != second {
+	body := insert(5, 1, "k1")
+	_, first := postRaw(t, ts.URL+PathNodeOps, body)
+	_, second := postRaw(t, ts.URL+PathNodeOps, body)
+	if !bytes.Equal(first, second) {
 		t.Fatalf("replay differs:\n%s\n---\n%s", first, second)
 	}
-	if !strings.Contains(first, `"ok":true`) {
+	if !strings.Contains(string(first), `"results":[{"ok":true}]`) {
 		t.Fatalf("insert refused: %s", first)
 	}
 	eng, _ := node.engine()
@@ -425,32 +438,18 @@ func TestIdempotentReplay(t *testing.T) {
 
 	// A refused mutation (stale epoch pin) is never cached: the keyed retry
 	// re-executes and is refused again, not replayed as a success.
-	bad := `{"code":` + jsonBytes(code) + `,"id":6,"epoch":99,"idem":"k2"}`
-	status, dup := post(PathNodeInsert, bad)
-	if status != http.StatusOK || !strings.Contains(dup, "stale_epoch") {
+	bad := insert(6, 99, "k2")
+	status, dup := postRaw(t, ts.URL+PathNodeOps, bad)
+	if status != http.StatusOK || !strings.Contains(string(dup), "stale_epoch") {
 		t.Fatalf("stale insert did not surface a stale_epoch error: %d %s", status, dup)
 	}
-	_, dup2 := post(PathNodeInsert, bad)
-	if !strings.Contains(dup2, "stale_epoch") {
+	_, dup2 := postRaw(t, ts.URL+PathNodeOps, bad)
+	if !strings.Contains(string(dup2), "stale_epoch") {
 		t.Fatal("failed mutation was replayed from cache as a success")
 	}
 	if got := eng.Len(); got != 1 {
 		t.Fatalf("refused inserts mutated the pool: len %d", got)
 	}
-}
-
-// jsonBytes renders a code as a JSON byte-array literal.
-func jsonBytes(code hst.Code) string {
-	var b bytes.Buffer
-	b.WriteByte('[')
-	for i, d := range []byte(code) {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(string('0' + d))
-	}
-	b.WriteByte(']')
-	return b.String()
 }
 
 // TestCoordinatorEndToEndHTTP drives the full stack over two real HTTP

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/pombm/pombm/internal/engine"
@@ -67,17 +68,30 @@ func TestOpsEnvelopeReplayByteExact(t *testing.T) {
 		t.Fatalf("replay re-applied mutations: pool %d, want %d", got, wantLen)
 	}
 
-	// A sub-op re-sent on its own single-op endpoint replays the same
-	// recorded result: the cache is shared, the sub-op is the replay unit.
-	var envResp OpsResponse
+	// A sub-op re-sent inside a differently grouped envelope — behind a
+	// new op, as a coalescer retry may regroup it — replays the same
+	// recorded bytes: the sub-op, not the envelope, is the replay unit.
+	var envResp, regroupedResp OpsResponse
 	if err := json.Unmarshal(first, &envResp); err != nil {
 		t.Fatal(err)
 	}
-	single := `{"code":` + jsonBytes(tree.CodeOf(0)) + `,"id":1,"epoch":1,"idem":"e-1"}`
-	_, solo := postRaw(t, ts.URL+PathNodeInsert, []byte(single))
-	if !bytes.Equal(bytes.TrimSpace(solo), bytes.TrimSpace(envResp.Results[0])) {
-		t.Fatalf("single-op replay differs from envelope result:\n%s\n---\n%s",
-			solo, envResp.Results[0])
+	regrouped, err := json.Marshal(OpsRequest{Ops: []OpRequest{
+		{Kind: OpInsert, Idem: "e-4", Code: []byte(tree.CodeOf(2)), ID: 4, Epoch: 1},
+		{Kind: OpInsert, Idem: "e-1", Code: []byte(tree.CodeOf(0)), ID: 1, Epoch: 1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, raw := postRaw(t, ts.URL+PathNodeOps, regrouped)
+	if err := json.Unmarshal(raw, &regroupedResp); err != nil || len(regroupedResp.Results) != 2 {
+		t.Fatalf("regrouped envelope answer: %s (%v)", raw, err)
+	}
+	if !bytes.Equal(regroupedResp.Results[1], envResp.Results[0]) {
+		t.Fatalf("regrouped replay differs from the first result:\n%s\n---\n%s",
+			regroupedResp.Results[1], envResp.Results[0])
+	}
+	if got := eng.Len(); got != wantLen+1 {
+		t.Fatalf("regrouped envelope: pool %d, want %d (the new op lands, the replay does not)", got, wantLen+1)
 	}
 
 	// Rotate the replay cache one generation (replayCapPerGen further
@@ -158,10 +172,10 @@ func TestOpsEnvelopeMixedOutcomesCachePerOp(t *testing.T) {
 	// two successes replay (pool unchanged by them), the refused op
 	// re-executes — a cached error would replay the refusal — and now
 	// lands.
-	if err := conn.Prepare(2, tree, 0, []engine.EpochInsert{
+	if err := conn.Prepare(2, tree, 0, seqOf([]engine.EpochInsert{
 		{Code: tree.CodeOf(0), ID: 1, Cap: 1},
 		{Code: tree.CodeOf(2), ID: 3, Cap: 1},
-	}, "prep-2"); err != nil {
+	}), "prep-2"); err != nil {
 		t.Fatal(err)
 	}
 	if err := conn.Commit(2, "commit-2"); err != nil {
@@ -179,47 +193,46 @@ func TestOpsEnvelopeMixedOutcomesCachePerOp(t *testing.T) {
 	}
 }
 
-// TestCoalescedMatchesPerOpTape is the differential gate for the
-// coalescer: the same randomised operation tape — inserts, removals,
+// TestCoalescedMatchesLocalTape is the differential gate for the node
+// wire path: the same randomised operation tape — inserts, removals,
 // multi-window batch assignments, with an epoch rotation mid-tape — driven
-// through a coalescing coordinator and a per-op (NoCoalesce) coordinator
-// over real HTTP backends produces identical answers, both pinned to the
-// single-process engine.
-func TestCoalescedMatchesPerOpTape(t *testing.T) {
+// through a coordinator over real HTTP backends (every routed op coalesced
+// into /v2/node/ops envelopes) and over in-process LocalNodes (direct
+// calls, no JSON) produces the single-process engine's answers, so the two
+// conn kinds answer identically.
+func TestCoalescedMatchesLocalTape(t *testing.T) {
 	tree := buildTree(t, 7)
 	next := buildTree(t, 8)
+	var envelopes atomic.Int64
 	for _, tc := range []struct {
-		name       string
-		noCoalesce bool
+		name  string
+		nodes func() []NodeConn
 	}{
-		{"coalesced", false},
-		{"per-op", true},
+		{"coalesced", func() []NodeConn {
+			nodes := make([]NodeConn, 3)
+			for i := range nodes {
+				h := NodeHandler(NewNode())
+				ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.URL.Path == PathNodeOps {
+						envelopes.Add(1)
+					}
+					h.ServeHTTP(w, r)
+				}))
+				t.Cleanup(ts.Close)
+				nodes[i] = DialNode(ts.URL)
+			}
+			return nodes
+		}},
+		{"local", func() []NodeConn { return localNodes(3) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pol, err := engine.PolicyByName("batch-optimal:k=4")
 			if err != nil {
 				t.Fatal(err)
 			}
-			core, err := newFanCore(httpNodes(t, 3), tree, 0, pol, "batch-optimal:k=4", 1, tc.noCoalesce)
+			core, err := newFanCore(tc.nodes(), tree, 0, pol, "batch-optimal:k=4", 1)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if tc.noCoalesce {
-				for _, b := range core.batchers {
-					if b != nil {
-						t.Fatal("NoCoalesce left a batcher attached")
-					}
-				}
-			} else {
-				active := 0
-				for _, b := range core.batchers {
-					if b != nil {
-						active++
-					}
-				}
-				if active != len(core.nodes) {
-					t.Fatalf("coalescing attached %d/%d batchers", active, len(core.nodes))
-				}
 			}
 			refPol, _ := engine.PolicyByName("batch-optimal:k=4")
 			eng, err := engine.NewWithOptions(tree, 0, engine.WithPolicy(refPol))
@@ -227,9 +240,12 @@ func TestCoalescedMatchesPerOpTape(t *testing.T) {
 				t.Fatal(err)
 			}
 			runTape(t, core, eng, tree, 99)
+			if tc.name == "coalesced" && envelopes.Load() == 0 {
+				t.Fatal("the HTTP tape shipped no /v2/node/ops envelope")
+			}
 
-			// Mid-tape rotation, then more tape: the coalesced wire path
-			// must hand over epochs exactly like the per-op one.
+			// Mid-tape rotation, then more tape: both conn kinds must hand
+			// over epochs exactly like the engine.
 			var inserts []engine.EpochInsert
 			for i := 0; i < 160; i++ {
 				inserts = append(inserts, engine.EpochInsert{
@@ -263,7 +279,7 @@ func TestCoalescedMatchesPerOpTape(t *testing.T) {
 func TestCoalescerConcurrentOps(t *testing.T) {
 	tree := buildTree(t, 11)
 	pol, _ := engine.PolicyByName("greedy")
-	core, err := newFanCore(httpNodes(t, 2), tree, 0, pol, "greedy", 1, false)
+	core, err := newFanCore(httpNodes(t, 2), tree, 0, pol, "greedy", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

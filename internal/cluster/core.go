@@ -34,11 +34,6 @@ type fanCore struct {
 	defaultCap int
 	shardsCfg  int // requested shard count, passed to every node
 
-	// batchers[i] coalesces concurrent routed ops bound for nodes[i] into
-	// /v2/node/ops envelopes; nil when the conn cannot carry envelopes
-	// (in-process) or coalescing is disabled.
-	batchers []*batcher
-
 	state atomic.Pointer[coreState]
 	opMu  sync.RWMutex
 
@@ -63,15 +58,14 @@ type coreState struct {
 	epoch  int64
 }
 
-// errNodeDown is wrapped into transport failures by httpNode (and the
+// errTransport is wrapped into transport failures by httpNode (and the
 // retry helpers below) so the core can tell a dead backend from an
 // application refusal.
 var errTransport = errors.New("cluster: node transport failed")
 
 // newFanCore builds the core and initialises every node with the shared
-// configuration. Unless noCoalesce is set, every connection that can carry
-// op envelopes gets a coalescing batcher.
-func newFanCore(nodes []NodeConn, tree *hst.Tree, shards int, policy engine.Policy, policySpec string, defaultCap int, noCoalesce bool) (*fanCore, error) {
+// configuration.
+func newFanCore(nodes []NodeConn, tree *hst.Tree, shards int, policy engine.Policy, policySpec string, defaultCap int) (*fanCore, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("cluster: no nodes")
 	}
@@ -84,17 +78,9 @@ func newFanCore(nodes []NodeConn, tree *hst.Tree, shards int, policy engine.Poli
 		policySpec: policySpec,
 		defaultCap: defaultCap,
 		shardsCfg:  shards,
-		batchers:   make([]*batcher, len(nodes)),
 		solver:     flow.NewBipartite(),
 		warm:       map[int]float64{},
 		warmEpoch:  engine.FirstEpoch,
-	}
-	if !noCoalesce {
-		for i, n := range nodes {
-			if oc, ok := n.(opsConn); ok {
-				c.batchers[i] = &batcher{conn: oc}
-			}
-		}
 	}
 	c.state.Store(&coreState{tree: tree, layout: engine.LayoutFor(tree, shards), epoch: engine.FirstEpoch})
 	for i, n := range nodes {
@@ -207,9 +193,9 @@ func (c *fanCore) InsertCapEpoch(code hst.Code, id, capacity int, epoch int64) e
 	}
 	nd := c.routeIdx(st, code)
 	idem := c.nextIdem("ins")
-	err := c.opInsert(nd, code, id, capacity, epoch, idem)
+	err := c.nodes[nd].Insert(code, id, capacity, epoch, idem)
 	if isTransport(err) {
-		err = c.opInsert(nd, code, id, capacity, epoch, idem)
+		err = c.nodes[nd].Insert(code, id, capacity, epoch, idem)
 		if isTransport(err) {
 			return unavailable(nd, err)
 		}
@@ -226,9 +212,9 @@ func (c *fanCore) AddCapacityEpoch(code hst.Code, id int, epoch int64) error {
 	}
 	nd := c.routeIdx(st, code)
 	idem := c.nextIdem("addcap")
-	err := c.opAddCapacity(nd, code, id, epoch, idem)
+	err := c.nodes[nd].AddCapacity(code, id, epoch, idem)
 	if isTransport(err) {
-		err = c.opAddCapacity(nd, code, id, epoch, idem)
+		err = c.nodes[nd].AddCapacity(code, id, epoch, idem)
 		if isTransport(err) {
 			return unavailable(nd, err)
 		}
@@ -250,9 +236,9 @@ func (c *fanCore) RemoveUnits(code hst.Code, id int) (int, bool) {
 	}
 	nd := c.routeIdx(st, code)
 	idem := c.nextIdem("rm")
-	units, found, err := c.opRemove(nd, code, id, idem)
+	units, found, err := c.nodes[nd].Remove(code, id, idem)
 	if isTransport(err) {
-		units, found, err = c.opRemove(nd, code, id, idem)
+		units, found, err = c.nodes[nd].Remove(code, id, idem)
 	}
 	if err != nil {
 		return 0, false
@@ -306,9 +292,9 @@ func (c *fanCore) assignRouted(st *coreState, code hst.Code) (int, int, bool, er
 	}
 	nd := c.routeIdx(st, code)
 	idem := c.nextIdem("as")
-	id, lvl, found, err := c.opAssignSubtree(nd, code, st.epoch, idem)
+	id, lvl, found, err := c.nodes[nd].AssignSubtree(code, st.epoch, idem)
 	if isTransport(err) {
-		id, lvl, found, err = c.opAssignSubtree(nd, code, st.epoch, idem)
+		id, lvl, found, err = c.nodes[nd].AssignSubtree(code, st.epoch, idem)
 		if isTransport(err) {
 			return engine.None, 0, false, unavailable(nd, err)
 		}
@@ -636,9 +622,9 @@ func (c *fanCore) solveWindowOnce(st *coreState, codes []hst.Code, valid []int, 
 			defer cwg.Done()
 			u := &commits[j]
 			idem := c.nextIdem("consume")
-			err := c.opConsume(u.nd, u.code, u.id, st.epoch, idem)
+			err := c.nodes[u.nd].Consume(u.code, u.id, st.epoch, idem)
 			if isTransport(err) {
-				err = c.opConsume(u.nd, u.code, u.id, st.epoch, idem)
+				err = c.nodes[u.nd].Consume(u.code, u.id, st.epoch, idem)
 			}
 			u.err = err
 		}()
@@ -660,9 +646,9 @@ func (c *fanCore) solveWindowOnce(st *coreState, codes []hst.Code, valid []int, 
 				continue
 			}
 			idem := c.nextIdem("undo")
-			err := c.opAddCapacity(u.nd, u.code, u.id, st.epoch, idem)
+			err := c.nodes[u.nd].AddCapacity(u.code, u.id, st.epoch, idem)
 			if isTransport(err) {
-				err = c.opAddCapacity(u.nd, u.code, u.id, st.epoch, idem)
+				err = c.nodes[u.nd].AddCapacity(u.code, u.id, st.epoch, idem)
 			}
 			if err != nil {
 				panic(fmt.Sprintf("cluster: window rollback lost unit (worker %d): %v", u.id, err))
@@ -712,40 +698,22 @@ func (c *fanCore) SwapEpoch(epoch int64, tree *hst.Tree, shards int, inserts []e
 			return fmt.Errorf("cluster: swap insert %d: %w", inserts[i].ID, err)
 		}
 	}
-	// Partition lazily: a streaming connection (seqPreparer) pulls its
-	// partition straight off the inserts slice, so the coordinator never
-	// holds a second copy of the population. Only a legacy NodeConn forces
-	// the materialized partitions. Prepares run concurrently, so the lazy
-	// build is guarded by a Once.
-	var parts [][]engine.EpochInsert
-	var partsOnce sync.Once
-	partsFor := func(nd int) []engine.EpochInsert {
-		partsOnce.Do(func() {
-			parts = make([][]engine.EpochInsert, N)
-			for _, in := range inserts {
-				d := newLayout.GroupOf(in.Code) % N
-				parts[d] = append(parts[d], in)
-			}
-		})
-		return parts[nd]
-	}
-	// prepareNode runs one node's phase-one call; replayable, so a
-	// transport retry re-streams the same partition under the same idem.
+	// prepareNode runs one node's phase-one call, pulling the node's
+	// partition straight off the inserts slice — the coordinator never holds
+	// a second copy of the population. Replayable, so a transport retry
+	// re-streams the same partition under the same idem.
 	prepareNode := func(nd int, idem string) error {
-		if sp, ok := c.nodes[nd].(seqPreparer); ok {
-			i := 0
-			return sp.PrepareSeq(epoch, tree, shards, func() (engine.EpochInsert, bool, error) {
-				for i < len(inserts) {
-					in := inserts[i]
-					i++
-					if newLayout.GroupOf(in.Code)%N == nd {
-						return in, true, nil
-					}
+		i := 0
+		return c.nodes[nd].Prepare(epoch, tree, shards, func() (engine.EpochInsert, bool, error) {
+			for i < len(inserts) {
+				in := inserts[i]
+				i++
+				if newLayout.GroupOf(in.Code)%N == nd {
+					return in, true, nil
 				}
-				return engine.EpochInsert{}, false, nil
-			}, idem)
-		}
-		return c.nodes[nd].Prepare(epoch, tree, shards, partsFor(nd), idem)
+			}
+			return engine.EpochInsert{}, false, nil
+		}, idem)
 	}
 
 	// Phase one: prepare everywhere. The staged states are built and

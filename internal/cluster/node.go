@@ -22,7 +22,9 @@ import (
 // NodeConn is the coordinator's handle to one backend: the engine surface
 // a node exposes over /v2, plus the two-phase rotation verbs. LocalNode
 // implements it in-process (tests, the simulator, single-binary
-// deployments); DialNode implements it over HTTP against a pombm-server.
+// deployments) as direct calls; DialNode implements it over HTTP against a
+// pombm-server, where every single-worker op (Insert, AddCapacity, Remove,
+// AssignSubtree, Consume) rides a coalesced /v2/node/ops envelope.
 //
 // The idem argument on mutating calls is the idempotency key: a transport
 // that retries after a lost response sends the same key, and the node
@@ -39,21 +41,15 @@ type NodeConn interface {
 	PopMin(epoch int64, idem string) (id, level int, found bool, err error)
 	Mine(codes []hst.Code, k int, epoch int64) (*engine.WindowMine, error)
 	Consume(code hst.Code, id int, epoch int64, idem string) error
-	Prepare(epoch int64, tree *hst.Tree, shards int, inserts []engine.EpochInsert, idem string) error
+	// Prepare stages the node's partition of the next epoch, pulled one
+	// insert at a time: next returns (zero, false, nil) at end, and an
+	// error aborts the prepare. A pulled stream keeps a 10M-worker rotation
+	// from materializing the partition as a slice, wire structs and an
+	// encoded body. The coordinator may retry a transport failure with the
+	// same idem, so the sequence behind next must be replayable.
+	Prepare(epoch int64, tree *hst.Tree, shards int, next func() (engine.EpochInsert, bool, error), idem string) error
 	Commit(epoch int64, idem string) error
 	Abort(epoch int64, idem string) error
-}
-
-// seqPreparer is an optional NodeConn extension: a connection that ships
-// the prepare-phase population as a stream instead of a materialized
-// slice. The coordinator prefers it — a 10M-worker rotation otherwise
-// holds the whole partition in memory three times over (the inserts, the
-// wire structs, and the encoded body). next returns one insert at a time
-// and (zero, false, nil) at end; an error aborts the prepare. The
-// coordinator may retry a transport failure with the same idem, so the
-// sequence behind next must be replayable.
-type seqPreparer interface {
-	PrepareSeq(epoch int64, tree *hst.Tree, shards int, next func() (engine.EpochInsert, bool, error), idem string) error
 }
 
 // Node is the backend half of a cluster member: a bare assignment engine
@@ -197,29 +193,12 @@ func (n *Node) Consume(code hst.Code, id int, epoch int64, _ string) error {
 	return eng.ConsumeUnit(code, id, epoch)
 }
 
-// Prepare stages this node's partition of the next epoch (phase one). A
-// later Prepare for a different epoch replaces the staged state (staging
-// holds no locks, so dropping it is a free abort).
-func (n *Node) Prepare(epoch int64, tree *hst.Tree, shards int, inserts []engine.EpochInsert, _ string) error {
-	eng, err := n.engine()
-	if err != nil {
-		return err
-	}
-	staged, err := eng.PrepareSwap(epoch, tree, shards, inserts)
-	if err != nil {
-		return err
-	}
-	n.mu.Lock()
-	n.staged = staged
-	n.mu.Unlock()
-	return nil
-}
-
-// PrepareSeq stages this node's partition pulled one insert at a time —
-// the staged arenas are the only copy of the population this node ever
-// holds. Semantics are Prepare's: a later prepare for a different epoch
-// replaces the staged state.
-func (n *Node) PrepareSeq(epoch int64, tree *hst.Tree, shards int, next func() (engine.EpochInsert, bool, error), _ string) error {
+// Prepare stages this node's partition of the next epoch (phase one),
+// pulled one insert at a time — the staged arenas are the only copy of the
+// population this node ever holds. A later Prepare for a different epoch
+// replaces the staged state (staging holds no locks, so dropping it is a
+// free abort).
+func (n *Node) Prepare(epoch int64, tree *hst.Tree, shards int, next func() (engine.EpochInsert, bool, error), _ string) error {
 	eng, err := n.engine()
 	if err != nil {
 		return err
@@ -338,8 +317,9 @@ func nodeError(err error, epoch int64) *platform.Error {
 }
 
 // NodeHandler exposes a Node over the /v2 wire protocol. Mutating
-// endpoints honour idempotency keys: a request whose key was already
-// applied is answered from the replay cache byte-for-byte.
+// endpoints — and each keyed sub-op of an ops envelope — honour
+// idempotency keys: a request whose key was already applied is answered
+// from the replay cache byte-for-byte.
 func NodeHandler(n *Node) http.Handler {
 	cache := newReplayCache()
 	mux := http.NewServeMux()
@@ -363,10 +343,8 @@ func NodeHandler(n *Node) http.Handler {
 			}
 			cb := wire.Get()
 			defer wire.Put(cb)
-			if err := cb.ReadAll(r.Body, 64<<20); err != nil {
-				writeNodeJSON(w, http.StatusBadRequest, &platform.Error{
-					Code: platform.CodeBadRequest, Message: "cluster: read body: " + err.Error(),
-				})
+			if err := cb.ReadAll(r.Body, maxNodeBodyBytes); err != nil {
+				platform.WriteBodyError(w, "cluster: read body", err)
 				return
 			}
 			body := cb.Bytes()
@@ -427,48 +405,6 @@ func NodeHandler(n *Node) http.Handler {
 		}
 		return resp, ""
 	})
-	handlePost(PathNodeInsert, true, func(body []byte) (any, string) {
-		var req InsertRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nodeAck{Err: badBody(err)}, ""
-		}
-		if err := n.Insert(hst.Code(req.Code), req.ID, req.Capacity, req.Epoch, req.Idem); err != nil {
-			return nodeAck{Err: nodeError(err, req.Epoch)}, ""
-		}
-		return nodeAck{OK: true}, req.Idem
-	})
-	handlePost(PathNodeAddCapacity, true, func(body []byte) (any, string) {
-		var req AddCapacityRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nodeAck{Err: badBody(err)}, ""
-		}
-		if err := n.AddCapacity(hst.Code(req.Code), req.ID, req.Epoch, req.Idem); err != nil {
-			return nodeAck{Err: nodeError(err, req.Epoch)}, ""
-		}
-		return nodeAck{OK: true}, req.Idem
-	})
-	handlePost(PathNodeRemove, true, func(body []byte) (any, string) {
-		var req RemoveRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return RemoveResponse{Err: badBody(err)}, ""
-		}
-		units, found, err := n.Remove(hst.Code(req.Code), req.ID, req.Idem)
-		if err != nil {
-			return RemoveResponse{Err: nodeError(err, 0)}, ""
-		}
-		return RemoveResponse{OK: true, Units: units, Found: found}, req.Idem
-	})
-	handlePost(PathNodeAssignSubtree, true, func(body []byte) (any, string) {
-		var req AssignSubtreeRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return AssignResponse{Err: badBody(err)}, ""
-		}
-		id, lvl, found, err := n.AssignSubtree(hst.Code(req.Code), req.Epoch, req.Idem)
-		if err != nil {
-			return AssignResponse{Err: nodeError(err, req.Epoch)}, ""
-		}
-		return AssignResponse{OK: true, ID: id, Level: lvl, Found: found}, req.Idem
-	})
 	handlePost(PathNodeMinID, true, func(body []byte) (any, string) {
 		var req MinIDRequest
 		if err := json.Unmarshal(body, &req); err != nil {
@@ -509,16 +445,6 @@ func NodeHandler(n *Node) http.Handler {
 			Own: toWireCands(wm.Own), Pads: toWireCands(wm.Pads),
 		}, ""
 	})
-	handlePost(PathNodeConsume, true, func(body []byte) (any, string) {
-		var req ConsumeRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nodeAck{Err: badBody(err)}, ""
-		}
-		if err := n.Consume(hst.Code(req.Code), req.ID, req.Epoch, req.Idem); err != nil {
-			return nodeAck{Err: nodeError(err, req.Epoch)}, ""
-		}
-		return nodeAck{OK: true}, req.Idem
-	})
 	handlePost(PathNodeOps, false, func(body []byte) (any, string) {
 		var req OpsRequest
 		if err := json.Unmarshal(body, &req); err != nil {
@@ -536,9 +462,9 @@ func NodeHandler(n *Node) http.Handler {
 			if i > 0 {
 				env = append(env, ',')
 			}
-			// Sub-ops share the replay cache with the single-op endpoints:
-			// a duplicated envelope (or the same op re-sent individually)
-			// replays the recorded bytes instead of re-applying.
+			// Each keyed sub-op is its own replay unit: a duplicated
+			// envelope — or the same op regrouped into another one by a
+			// retry — replays the recorded bytes instead of re-applying.
 			if cached, ok := cache.get(op.Idem); ok {
 				env = append(env, cached...)
 				continue
@@ -586,9 +512,9 @@ func NodeHandler(n *Node) http.Handler {
 	return mux
 }
 
-// execOp runs one envelope sub-operation, mirroring the matching single-op
-// handler exactly: same response shape, same error taxonomy, and the same
-// convention that an error returns idem "" so failures are never cached.
+// execOp runs one envelope sub-operation and returns its response value
+// and the idem to cache it under — "" on error, so failures are never
+// cached and a keyed retry re-executes.
 func execOp(n *Node, op OpRequest) (any, string) {
 	switch op.Kind {
 	case OpInsert:
@@ -629,11 +555,11 @@ func execOp(n *Node, op OpRequest) (any, string) {
 // prepareHandler decodes a prepare body incrementally and feeds the
 // inserts straight into the node's staging pass, so the node's transient
 // memory during a rotation is one staged engine — never the JSON document.
-// It accepts the exact wire form the materialized client sends (the
-// PrepareRequest field order keeps "inserts" last, which is what lets the
-// scalar fields land before the array streams). The idempotency key is
-// honoured when it precedes the inserts — both clients emit it first; a
-// replayed prepare is answered from the cache without re-staging.
+// It accepts any PrepareRequest encoding whose "inserts" field comes last
+// (the struct's field order), which is what lets the scalar fields land
+// before the array streams. The idempotency key is honoured when it
+// precedes the inserts — the client emits it first; a replayed prepare is
+// answered from the cache without re-staging.
 func prepareHandler(n *Node, cache *replayCache) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -744,7 +670,7 @@ func prepareHandler(n *Node, cache *replayCache) http.HandlerFunc {
 						return engine.EpochInsert{Code: hst.Code(wi.Code), ID: wi.ID, Cap: wi.Cap}, true, nil
 					}
 				}
-				stageErr = n.PrepareSeq(req.Epoch, req.Tree, req.Shards, next, req.Idem)
+				stageErr = n.Prepare(req.Epoch, req.Tree, req.Shards, next, req.Idem)
 				staged = true
 				if stageErr != nil {
 					// The staging pass may have stopped mid-array, leaving
@@ -765,7 +691,7 @@ func prepareHandler(n *Node, cache *replayCache) http.HandlerFunc {
 		}
 		if !staged {
 			// No inserts field at all: a legal empty prepare.
-			stageErr = n.PrepareSeq(req.Epoch, req.Tree, req.Shards, func() (engine.EpochInsert, bool, error) {
+			stageErr = n.Prepare(req.Epoch, req.Tree, req.Shards, func() (engine.EpochInsert, bool, error) {
 				return engine.EpochInsert{}, false, nil
 			}, req.Idem)
 		}
@@ -824,11 +750,24 @@ func writeNodeJSON(w http.ResponseWriter, status int, e *platform.Error) {
 	w.Write(cb.Bytes())
 }
 
-// httpNode is a NodeConn over the /v2 wire protocol.
+// maxNodeBodyBytes caps a buffered /v2 body, request or response; the
+// rotation prepare, which scales with the population, streams instead.
+const maxNodeBodyBytes = 64 << 20
+
+// httpNode is a NodeConn over the /v2 wire protocol. Its single-worker ops
+// go through the node's batcher, so concurrent callers share /v2/node/ops
+// round trips.
 type httpNode struct {
 	baseURL  string
 	client   *http.Client
 	timeouts NodeTimeouts
+	batch    batcher
+}
+
+func newHTTPNode(baseURL string, hc *http.Client, to NodeTimeouts) *httpNode {
+	h := &httpNode{baseURL: baseURL, client: hc, timeouts: to}
+	h.batch.send = h.ops
+	return h
 }
 
 // NodeTimeouts bounds each /v2 round trip by operation class. A single
@@ -885,7 +824,7 @@ var nodeClient = &http.Client{Transport: platform.NewTransport()}
 // DialNodeTimeouts is DialNode with explicit per-operation deadlines
 // (zero fields take the defaults).
 func DialNodeTimeouts(baseURL string, to NodeTimeouts) NodeConn {
-	return &httpNode{baseURL: baseURL, client: nodeClient, timeouts: to}
+	return newHTTPNode(baseURL, nodeClient, to)
 }
 
 // DialNodeClient is DialNode with a caller-supplied HTTP client (tests pin
@@ -894,7 +833,7 @@ func DialNodeTimeouts(baseURL string, to NodeTimeouts) NodeConn {
 // rotation prepare — so deployments should leave it zero and use
 // DialNodeTimeouts instead.
 func DialNodeClient(baseURL string, hc *http.Client) NodeConn {
-	return &httpNode{baseURL: baseURL, client: hc}
+	return newHTTPNode(baseURL, hc, NodeTimeouts{})
 }
 
 // deadlineErr is the typed refusal for an expired per-operation deadline:
@@ -951,9 +890,9 @@ func (h *httpNode) postBody(path string, body io.Reader, out any, d time.Duratio
 	defer resp.Body.Close()
 	rb := wire.Get()
 	defer wire.Put(rb)
-	// ReadAll drains the body past the cap, so the keep-alive connection
-	// returns to the pool clean.
-	if err := rb.ReadAll(resp.Body, 64<<20); err != nil {
+	// ReadAll drains the body to EOF (or a short tail past the cap), so the
+	// keep-alive connection returns to the pool clean.
+	if err := rb.ReadAll(resp.Body, maxNodeBodyBytes); err != nil {
 		if ctx.Err() == context.DeadlineExceeded {
 			return deadlineErr(path, d)
 		}
@@ -1001,11 +940,19 @@ func (h *httpNode) Status(epoch int64) (StatusResponse, error) {
 	return resp, envErr(resp.Err)
 }
 
+// op ships one single-worker op through the node's coalescer and decodes
+// its sub-result into out.
+func (h *httpNode) op(op OpRequest, out any) error {
+	raw, err := h.batch.do(op)
+	if err != nil {
+		return err
+	}
+	return decodeOpResult(raw, op.Kind, out)
+}
+
 func (h *httpNode) Insert(code hst.Code, id, capacity int, epoch int64, idem string) error {
 	var resp nodeAck
-	if err := h.post(PathNodeInsert, InsertRequest{
-		Code: []byte(code), ID: id, Capacity: capacity, Epoch: epoch, Idem: idem,
-	}, &resp); err != nil {
+	if err := h.op(OpRequest{Kind: OpInsert, Idem: idem, Code: []byte(code), ID: id, Capacity: capacity, Epoch: epoch}, &resp); err != nil {
 		return err
 	}
 	return envErr(resp.Err)
@@ -1013,9 +960,7 @@ func (h *httpNode) Insert(code hst.Code, id, capacity int, epoch int64, idem str
 
 func (h *httpNode) AddCapacity(code hst.Code, id int, epoch int64, idem string) error {
 	var resp nodeAck
-	if err := h.post(PathNodeAddCapacity, AddCapacityRequest{
-		Code: []byte(code), ID: id, Epoch: epoch, Idem: idem,
-	}, &resp); err != nil {
+	if err := h.op(OpRequest{Kind: OpAddCapacity, Idem: idem, Code: []byte(code), ID: id, Epoch: epoch}, &resp); err != nil {
 		return err
 	}
 	return envErr(resp.Err)
@@ -1023,7 +968,7 @@ func (h *httpNode) AddCapacity(code hst.Code, id int, epoch int64, idem string) 
 
 func (h *httpNode) Remove(code hst.Code, id int, idem string) (int, bool, error) {
 	var resp RemoveResponse
-	if err := h.post(PathNodeRemove, RemoveRequest{Code: []byte(code), ID: id, Idem: idem}, &resp); err != nil {
+	if err := h.op(OpRequest{Kind: OpRemove, Idem: idem, Code: []byte(code), ID: id}, &resp); err != nil {
 		return 0, false, err
 	}
 	return resp.Units, resp.Found, envErr(resp.Err)
@@ -1031,15 +976,21 @@ func (h *httpNode) Remove(code hst.Code, id int, idem string) (int, bool, error)
 
 func (h *httpNode) AssignSubtree(code hst.Code, epoch int64, idem string) (int, int, bool, error) {
 	var resp AssignResponse
-	if err := h.post(PathNodeAssignSubtree, AssignSubtreeRequest{
-		Code: []byte(code), Epoch: epoch, Idem: idem,
-	}, &resp); err != nil {
+	if err := h.op(OpRequest{Kind: OpAssignSubtree, Idem: idem, Code: []byte(code), Epoch: epoch}, &resp); err != nil {
 		return engine.None, 0, false, err
 	}
 	if err := envErr(resp.Err); err != nil {
 		return engine.None, 0, false, err
 	}
 	return resp.ID, resp.Level, resp.Found, nil
+}
+
+func (h *httpNode) Consume(code hst.Code, id int, epoch int64, idem string) error {
+	var resp nodeAck
+	if err := h.op(OpRequest{Kind: OpConsume, Idem: idem, Code: []byte(code), ID: id, Epoch: epoch}, &resp); err != nil {
+		return err
+	}
+	return envErr(resp.Err)
 }
 
 func (h *httpNode) MinID(epoch int64) (int, bool, error) {
@@ -1090,21 +1041,12 @@ func (h *httpNode) Mine(codes []hst.Code, k int, epoch int64) (*engine.WindowMin
 	return wm, nil
 }
 
-func (h *httpNode) Consume(code hst.Code, id int, epoch int64, idem string) error {
-	var resp nodeAck
-	if err := h.post(PathNodeConsume, ConsumeRequest{
-		Code: []byte(code), ID: id, Epoch: epoch, Idem: idem,
-	}, &resp); err != nil {
-		return err
-	}
-	return envErr(resp.Err)
-}
-
-// Ops ships one coalesced envelope and returns the raw per-op results in
-// order. Envelope-level failures (transport, refused envelope, a result
-// count that does not match) surface as errors; per-op outcomes stay raw
-// for the caller to decode against the op's own response shape.
-func (h *httpNode) Ops(ops []OpRequest) ([]json.RawMessage, error) {
+// ops ships one coalesced envelope (the batcher's send) and returns the
+// raw per-op results in order. Envelope-level failures (transport, refused
+// envelope, a result count that does not match) surface as errors; per-op
+// outcomes stay raw for the caller to decode against the op's own
+// response shape.
+func (h *httpNode) ops(ops []OpRequest) ([]json.RawMessage, error) {
 	var resp OpsResponse
 	if err := h.post(PathNodeOps, OpsRequest{Ops: ops}, &resp); err != nil {
 		return nil, err
@@ -1119,24 +1061,12 @@ func (h *httpNode) Ops(ops []OpRequest) ([]json.RawMessage, error) {
 	return resp.Results, nil
 }
 
-func (h *httpNode) Prepare(epoch int64, tree *hst.Tree, shards int, inserts []engine.EpochInsert, idem string) error {
-	i := 0
-	return h.PrepareSeq(epoch, tree, shards, func() (engine.EpochInsert, bool, error) {
-		if i >= len(inserts) {
-			return engine.EpochInsert{}, false, nil
-		}
-		in := inserts[i]
-		i++
-		return in, true, nil
-	}, idem)
-}
-
-// PrepareSeq streams the prepare body: the idem and scalar fields first
+// Prepare streams the prepare body: the idem and scalar fields first
 // (so the node can replay-check before any work), the tree, then the
 // inserts encoded one at a time through an io.Pipe — the partition is
 // never materialized as wire structs or an encoded document on this side.
 // Runs under the prepare deadline, not the op deadline.
-func (h *httpNode) PrepareSeq(epoch int64, tree *hst.Tree, shards int, next func() (engine.EpochInsert, bool, error), idem string) error {
+func (h *httpNode) Prepare(epoch int64, tree *hst.Tree, shards int, next func() (engine.EpochInsert, bool, error), idem string) error {
 	treeJSON, err := json.Marshal(tree)
 	if err != nil {
 		return fmt.Errorf("cluster: encode %s tree: %w", PathNodePrepare, err)
@@ -1201,8 +1131,4 @@ func (h *httpNode) Abort(epoch int64, idem string) error {
 	return envErr(resp.Err)
 }
 
-var (
-	_ NodeConn    = (*httpNode)(nil)
-	_ seqPreparer = (*httpNode)(nil)
-	_ seqPreparer = (*Node)(nil)
-)
+var _ NodeConn = (*httpNode)(nil)

@@ -32,26 +32,25 @@ import (
 // /v2 node endpoint paths. They live beside the /v1 agent API on a
 // pombm-server: /v1 is what workers and tasks talk to a single-node
 // deployment; /v2/node is what a coordinator drives a backend with.
+//
+// Every single-worker routed operation (insert, add-capacity, remove,
+// assign-subtree, consume) rides the /v2/node/ops envelope. The greedy
+// root tier (min-id, pop-min), window mining, node lifecycle (init,
+// status) and the rotation verbs keep endpoints of their own.
 const (
-	PathNodeInit          = "/v2/node/init"
-	PathNodeStatus        = "/v2/node/status"
-	PathNodeInsert        = "/v2/node/insert"
-	PathNodeAddCapacity   = "/v2/node/add-capacity"
-	PathNodeRemove        = "/v2/node/remove"
-	PathNodeAssignSubtree = "/v2/node/assign-subtree"
-	PathNodeMinID         = "/v2/node/min-id"
-	PathNodePopMin        = "/v2/node/pop-min"
-	PathNodeMine          = "/v2/node/mine"
-	PathNodeConsume       = "/v2/node/consume"
-	PathNodePrepare       = "/v2/node/rotate/prepare"
-	PathNodeCommit        = "/v2/node/rotate/commit"
-	PathNodeAbort         = "/v2/node/rotate/abort"
-	PathNodeOps           = "/v2/node/ops"
+	PathNodeInit    = "/v2/node/init"
+	PathNodeStatus  = "/v2/node/status"
+	PathNodeMinID   = "/v2/node/min-id"
+	PathNodePopMin  = "/v2/node/pop-min"
+	PathNodeMine    = "/v2/node/mine"
+	PathNodePrepare = "/v2/node/rotate/prepare"
+	PathNodeCommit  = "/v2/node/rotate/commit"
+	PathNodeAbort   = "/v2/node/rotate/abort"
+	PathNodeOps     = "/v2/node/ops"
 )
 
-// Op kinds carried by the /v2/node/ops envelope. Each is one of the
-// single-worker routed operations; anything whose answer spans nodes
-// (min-id, mine, the rotation verbs) stays on its own endpoint.
+// Op kinds carried by the /v2/node/ops envelope: the single-worker routed
+// operations.
 const (
 	OpInsert        = "insert"
 	OpAddCapacity   = "add-capacity"
@@ -60,12 +59,13 @@ const (
 	OpConsume       = "consume"
 )
 
-// OpRequest is one sub-operation of an ops envelope: the union of the
-// single-op request shapes, discriminated by Kind, with its own
-// idempotency key. Replay semantics are per-op and shared with the
-// single-op endpoints — the node caches each sub-result under its own key,
-// so a duplicated envelope (or the same op re-sent individually) replays
-// byte-for-byte.
+// OpRequest is one sub-operation of an ops envelope, discriminated by Kind,
+// with its own idempotency key. Fields a kind does not use stay zero:
+// Capacity only for insert (≤ 0 selects the node engine's default, which
+// all nodes share), Epoch for everything but remove, ID for everything but
+// assign-subtree. Replay is per op — the node caches each sub-result under
+// its own key, so the same op replays byte-for-byte whichever envelope
+// carries it.
 type OpRequest struct {
 	Kind     string `json:"kind"`
 	Idem     string `json:"idem,omitempty"`
@@ -86,8 +86,8 @@ type OpsRequest struct {
 
 // OpsResponse answers an envelope with one raw sub-response per op, in
 // order. Results stay raw JSON end to end so a replayed sub-op is
-// byte-identical to its first answer regardless of which envelope (or
-// single-op request) carries it.
+// byte-identical to its first answer regardless of which envelope carries
+// it.
 type OpsResponse struct {
 	OK      bool              `json:"ok"`
 	Err     *platform.Error   `json:"error,omitempty"`
@@ -126,32 +126,7 @@ type StatusResponse struct {
 	Units int             `json:"units"`
 }
 
-// InsertRequest lands a worker on its routed node. Capacity ≤ 0 selects
-// the node engine's default (all nodes share it).
-type InsertRequest struct {
-	Code     []byte `json:"code"`
-	ID       int    `json:"id"`
-	Capacity int    `json:"capacity,omitempty"`
-	Epoch    int64  `json:"epoch,omitempty"`
-	Idem     string `json:"idem,omitempty"`
-}
-
-// AddCapacityRequest returns one unit to a worker on its routed node.
-type AddCapacityRequest struct {
-	Code  []byte `json:"code"`
-	ID    int    `json:"id"`
-	Epoch int64  `json:"epoch,omitempty"`
-	Idem  string `json:"idem,omitempty"`
-}
-
-// RemoveRequest withdraws a worker's pooled units from its routed node.
-type RemoveRequest struct {
-	Code []byte `json:"code"`
-	ID   int    `json:"id"`
-	Idem string `json:"idem,omitempty"`
-}
-
-// RemoveResponse reports how many units were pooled (Found false when the
+// RemoveResponse answers a remove op: how many units were pooled (Found false when the
 // worker was not available).
 type RemoveResponse struct {
 	OK    bool            `json:"ok"`
@@ -160,14 +135,7 @@ type RemoveResponse struct {
 	Found bool            `json:"found"`
 }
 
-// AssignSubtreeRequest runs the greedy rule's node-local tiers for a task.
-type AssignSubtreeRequest struct {
-	Code  []byte `json:"code"`
-	Epoch int64  `json:"epoch,omitempty"`
-	Idem  string `json:"idem,omitempty"`
-}
-
-// AssignResponse carries a pop outcome: Found false means no worker on
+// AssignResponse carries a pop outcome (assign-subtree op, pop-min): Found false means no worker on
 // this node can serve the tier(s) asked of it.
 type AssignResponse struct {
 	OK    bool            `json:"ok"`
@@ -221,15 +189,6 @@ type MineResponse struct {
 	Pool  int               `json:"pool"`
 	Own   [][]WireCandidate `json:"own,omitempty"`
 	Pads  [][]WireCandidate `json:"pads,omitempty"`
-}
-
-// ConsumeRequest commits one matched unit of a window on the node that
-// mined the candidate.
-type ConsumeRequest struct {
-	Code  []byte `json:"code"`
-	ID    int    `json:"id"`
-	Epoch int64  `json:"epoch,omitempty"`
-	Idem  string `json:"idem,omitempty"`
 }
 
 // WireInsert is engine.EpochInsert on the wire.

@@ -17,7 +17,7 @@ func TestSubmitsDuringDistributedRotation(t *testing.T) {
 	next := buildTree(t, 8)
 	pol, _ := engine.PolicyByName("greedy")
 	nodes := localNodes(3)
-	core, err := newFanCore(nodes, tree, 0, pol, "greedy", 1, false)
+	core, err := newFanCore(nodes, tree, 0, pol, "greedy", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

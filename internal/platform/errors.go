@@ -37,6 +37,8 @@ const (
 	CodeMethodNotAllowed = "method_not_allowed"
 	// CodeUnsupportedMedia: request body is not application/json.
 	CodeUnsupportedMedia = "unsupported_media_type"
+	// CodeTooLarge: request body exceeds the endpoint's size cap.
+	CodeTooLarge = "too_large"
 	// CodeUnavailable: a backend (or the transport to it) failed; the
 	// request may have had no effect. Retryable.
 	CodeUnavailable = "unavailable"

@@ -480,11 +480,27 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	}
 	cb := wire.Get()
 	defer wire.Put(cb)
-	// DecodeAll drains the body even past the size cap, so a keep-alive
+	// DecodeAll drains a short tail past the size cap, so a keep-alive
 	// connection is left clean for the next request on it.
 	if err := cb.DecodeAll(r.Body, maxRequestBytes, v); err != nil {
-		writeError(w, http.StatusBadRequest, badRequestError("platform: bad request: "+err.Error()))
+		WriteBodyError(w, "platform: bad request", err)
 		return false
 	}
 	return true
+}
+
+// WriteBodyError answers a request whose body could not be read or
+// decoded. A body over its cap (wire.ErrTooLarge) is 413 too_large, with
+// Connection: close when its tail was left unread (wire.ErrUndrained) so
+// the unread bytes are never parsed as a next request; anything else is
+// 400 bad_request. prefix leads the message.
+func WriteBodyError(w http.ResponseWriter, prefix string, err error) {
+	if !errors.Is(err, wire.ErrTooLarge) {
+		writeError(w, http.StatusBadRequest, badRequestError(prefix+": "+err.Error()))
+		return
+	}
+	if errors.Is(err, wire.ErrUndrained) {
+		w.Header().Set("Connection", "close")
+	}
+	writeError(w, http.StatusRequestEntityTooLarge, &Error{Code: CodeTooLarge, Message: prefix + ": " + err.Error()})
 }

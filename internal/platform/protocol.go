@@ -148,21 +148,17 @@ type StatsResponse struct {
 	BudgetLimit      float64 `json:"budget_limit,omitempty"`
 	BudgetSpentTotal float64 `json:"budget_spent_total,omitempty"`
 	BudgetedAgents   int     `json:"budgeted_agents,omitempty"`
-	// Policy names the server's assignment policy; PolicyCounters counts
-	// the assignments it served, keyed by policy name. A server runs one
-	// policy for its lifetime, so today the map holds a single entry
-	// mirroring AssignedTasks — the keyed shape exists so dashboards keep
-	// working if servers ever serve multiple policies side by side.
-	// DefaultCapacity is
-	// the per-worker capacity a registration without one receives,
+	// Policy names the server's assignment policy (a server runs one for
+	// its lifetime, so AssignedTasks counts its assignments).
+	// DefaultCapacity is the per-worker capacity a registration without
+	// one receives,
 	// CapacityUnits the total remaining units across available workers
 	// (equal to AvailableWorkers for capacity-1 pools), and BatchWindows
 	// the windows served by a window-solving policy (batch-optimal).
-	Policy          string         `json:"policy,omitempty"`
-	PolicyCounters  map[string]int `json:"policy_counters,omitempty"`
-	DefaultCapacity int            `json:"default_capacity,omitempty"`
-	CapacityUnits   int            `json:"capacity_units,omitempty"`
-	BatchWindows    int64          `json:"batch_windows,omitempty"`
+	Policy          string `json:"policy,omitempty"`
+	DefaultCapacity int    `json:"default_capacity,omitempty"`
+	CapacityUnits   int    `json:"capacity_units,omitempty"`
+	BatchWindows    int64  `json:"batch_windows,omitempty"`
 }
 
 // PrepareRotateRequest stages the next epoch: a fresh HST built in the

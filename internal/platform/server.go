@@ -290,15 +290,6 @@ func (s *Server) Publication() Publication {
 // Core returns the assignment core the server fronts.
 func (s *Server) Core() Core { return s.eng }
 
-// Engine returns the underlying in-process assignment engine, or nil when
-// the server fronts an injected core (a cluster coordinator) instead.
-//
-// Deprecated: use Core; Engine exists for single-node monitoring callers.
-func (s *Server) Engine() *engine.Engine {
-	e, _ := s.eng.(*engine.Engine)
-	return e
-}
-
 // staleEpochReason formats the refusal for a report or task obfuscated
 // under a rotated-away publication.
 func staleEpochReason(got, cur int64) string {
@@ -699,14 +690,12 @@ func (s *Server) Stats() StatsResponse {
 		mean = float64(s.levelSum) / float64(s.assigned)
 	}
 	rs := s.rot.Stats()
-	policy := s.eng.Policy().Name()
 	return StatsResponse{
 		// Distinct worker ids, not slots: re-registrations after a
 		// withdrawal retire the old slot rather than reuse it.
 		RegisteredWorkers: len(s.byID),
 		AvailableWorkers:  s.eng.Len(),
-		Policy:            policy,
-		PolicyCounters:    map[string]int{policy: s.assigned},
+		Policy:            s.eng.Policy().Name(),
 		DefaultCapacity:   s.eng.DefaultCapacity(),
 		CapacityUnits:     s.eng.CapacityUnits(),
 		BatchWindows:      s.eng.Windows(),

@@ -15,6 +15,8 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"sync"
 )
@@ -40,6 +42,21 @@ var pool = sync.Pool{New: func() any {
 	b.enc = json.NewEncoder(&b.buf)
 	return b
 }}
+
+// DrainBudget bounds how many bytes past its limit ReadAll reads to drain
+// an over-limit body. It matches what net/http's server itself reads past
+// an unfinished handler to keep a connection alive; a longer tail is left
+// unread rather than read to its end.
+const DrainBudget = 256 << 10
+
+var (
+	// ErrTooLarge reports a body longer than ReadAll's limit.
+	ErrTooLarge = errors.New("wire: body exceeds its size limit")
+	// ErrUndrained is the ErrTooLarge of a body whose tail outran
+	// DrainBudget: the rest is left unread, so the connection carrying it
+	// cannot serve another exchange.
+	ErrUndrained = fmt.Errorf("%w; tail past the drain budget left unread", ErrTooLarge)
+)
 
 // Get returns an empty Buf from the pool.
 func Get() *Buf {
@@ -80,19 +97,33 @@ func (b *Buf) Reader() *bytes.Reader {
 	return &b.rd
 }
 
-// ReadAll appends r's content to the buffer, keeping at most limit bytes,
-// and always consumes r to EOF — the tail past the limit is discarded, not
-// left unread. Draining matters as much as reading: trailing unread bytes
-// on an HTTP body defeat net/http connection reuse, turning every request
-// into a fresh TCP handshake. An over-limit body surfaces downstream as a
-// parse error on the truncated bytes.
+// ReadAll appends r's content to the buffer. A body of at most limit bytes
+// is read to EOF. A longer one keeps its first limit bytes, has up to
+// DrainBudget further bytes drained, and reports ErrTooLarge — or
+// ErrUndrained when the tail did not end within the budget. Altogether
+// ReadAll reads at most limit+DrainBudget bytes. Draining matters as much
+// as reading: trailing unread bytes on an HTTP body defeat net/http
+// connection reuse, turning every request into a fresh TCP handshake; the
+// budget keeps an oversized body from being read to its end regardless.
 func (b *Buf) ReadAll(r io.Reader, limit int64) error {
-	b.lr = io.LimitedReader{R: r, N: limit}
+	// One byte past the limit tells a body of exactly limit bytes from a
+	// longer one.
+	b.lr = io.LimitedReader{R: r, N: limit + 1}
 	if _, err := b.buf.ReadFrom(&b.lr); err != nil {
 		return err
 	}
-	_, err := io.Copy(io.Discard, r)
-	return err
+	if b.lr.N > 0 {
+		return nil
+	}
+	b.buf.Truncate(b.buf.Len() - 1)
+	b.lr = io.LimitedReader{R: r, N: DrainBudget - 1}
+	if _, err := io.Copy(io.Discard, &b.lr); err != nil {
+		return err
+	}
+	if b.lr.N == 0 {
+		return ErrUndrained
+	}
+	return ErrTooLarge
 }
 
 // Unmarshal decodes the buffered bytes into v through a decoder bound to
@@ -116,8 +147,8 @@ func (b *Buf) Unmarshal(v any) error {
 	return nil
 }
 
-// DecodeAll reads r fully (see ReadAll) and unmarshals the kept bytes
-// into v.
+// DecodeAll reads r (see ReadAll) and unmarshals the bytes into v; an
+// over-limit body reports ReadAll's error without decoding.
 func (b *Buf) DecodeAll(r io.Reader, limit int64, v any) error {
 	if err := b.ReadAll(r, limit); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -36,14 +37,45 @@ func TestReadAllDrainsPastLimit(t *testing.T) {
 	b := Get()
 	defer Put(b)
 	src := strings.NewReader("0123456789")
-	if err := b.ReadAll(src, 4); err != nil {
-		t.Fatal(err)
+	if err := b.ReadAll(src, 4); !errors.Is(err, ErrTooLarge) || errors.Is(err, ErrUndrained) {
+		t.Fatalf("over-limit body with a short tail: err = %v, want ErrTooLarge (drained)", err)
 	}
 	if got := string(b.Bytes()); got != "0123" {
 		t.Fatalf("kept %q, want the first 4 bytes", got)
 	}
 	if src.Len() != 0 {
 		t.Fatalf("%d bytes left unread: the tail must be drained for keep-alive", src.Len())
+	}
+}
+
+func TestReadAllExactLimit(t *testing.T) {
+	b := Get()
+	defer Put(b)
+	if err := b.ReadAll(strings.NewReader("0123"), 4); err != nil {
+		t.Fatalf("body of exactly the limit refused: %v", err)
+	}
+	if got := string(b.Bytes()); got != "0123" {
+		t.Fatalf("kept %q", got)
+	}
+}
+
+// TestReadAllBoundsTheDrain pins the drain budget: a tail far past the
+// limit is not read to its end, ReadAll reports ErrUndrained, and it reads
+// at most limit+DrainBudget bytes in all.
+func TestReadAllBoundsTheDrain(t *testing.T) {
+	b := Get()
+	defer Put(b)
+	const limit, size = 1 << 10, 8 << 20
+	src := strings.NewReader(strings.Repeat("x", size))
+	err := b.ReadAll(src, limit)
+	if !errors.Is(err, ErrUndrained) || !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("err = %v, want ErrUndrained wrapping ErrTooLarge", err)
+	}
+	if b.Len() != limit {
+		t.Fatalf("kept %d bytes, want %d", b.Len(), limit)
+	}
+	if read := size - src.Len(); read > limit+DrainBudget {
+		t.Fatalf("read %d bytes, budget is %d", read, limit+DrainBudget)
 	}
 }
 

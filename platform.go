@@ -166,15 +166,6 @@ func DialNode(baseURL string) NodeConn { return cluster.DialNode(baseURL) }
 // pombm-server mounts beside /v1 so a coordinator can enlist it.
 func NodeHandler() http.Handler { return cluster.NodeHandler(cluster.NewNode()) }
 
-// NewServerClient connects to a platform server's HTTP API.
-//
-// Deprecated: use Dial, which returns the deployment-shape-agnostic API
-// surface. NewServerClient keeps working for callers that need the
-// concrete *ServerClient type.
-func NewServerClient(baseURL string) (*ServerClient, error) {
-	return platform.NewClient(baseURL)
-}
-
 // NewObfuscator builds an agent's client-side privacy stack from a
 // publication.
 func NewObfuscator(pub Publication, seed uint64) (*Obfuscator, error) {
